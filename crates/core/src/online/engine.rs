@@ -40,7 +40,7 @@
 //!   at any `--shards` width.
 
 use super::policy::{OnlinePolicy, PolicyAction, PolicyRegistry};
-use super::{fractionally_feasible, residual_flow};
+use super::{fractionally_feasible, residual_flow, VOLUME_TOL};
 use crate::algorithm::{Algorithm, AlgorithmRegistry};
 use crate::context::SolverContext;
 use crate::error::SolveError;
@@ -52,10 +52,6 @@ use dcn_solver::fmcf::FmcfSolverConfig;
 use dcn_topology::{LinkId, TopologyEvent};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
-
-/// Relative volume tolerance under which an in-flight flow counts as fully
-/// served (matches the verification tolerance of [`Schedule`]).
-const VOLUME_TOL: f64 = 1e-9;
 
 /// How the online loop decides whether a newly arrived flow is accepted.
 #[derive(Debug, Clone, Default)]

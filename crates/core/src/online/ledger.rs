@@ -30,11 +30,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use dcn_flow::{Flow, FlowId, FlowSet};
 
+use super::VOLUME_TOL;
 use crate::error::SolveError;
-
-/// Relative volume tolerance under which a flow counts as fully
-/// delivered (mirrors the engine's internal tolerance).
-const VOLUME_TOL: f64 = 1e-9;
 
 /// One admitted flow tracked by an [`InFlightLedger`].
 #[derive(Debug, Clone, PartialEq)]

@@ -81,6 +81,11 @@ pub mod ledger;
 pub mod policies;
 pub mod policy;
 
+/// Relative volume tolerance under which an in-flight flow counts as fully
+/// delivered, shared by the engine and the ledger so both retire a flow at
+/// the same point.
+pub(crate) const VOLUME_TOL: f64 = 1e-9;
+
 pub use engine::{
     AdmissionRule, EngineConfig, FlowDecision, OnlineEngine, OnlineEvent, OnlineOutcome,
     OnlineReport, ShardMode, WorldView,

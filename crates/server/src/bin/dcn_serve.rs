@@ -28,7 +28,9 @@ USAGE:
 MODES:
     --stdio              serve one framed request stream on stdin/stdout
     --listen ADDR        accept TCP connections on ADDR (e.g. 127.0.0.1:7070),
-                         one at a time, until a client sends Shutdown
+                         one at a time, until a client sends Shutdown;
+                         prints the bound address to stderr (so port 0
+                         picks a free port)
     --gen-requests N     print a canned stream of N submissions (plus a
                          trailing Shutdown) to stdout and exit
 
@@ -50,6 +52,12 @@ OPTIONS:
     --queries            (generator) interleave a QueryFlow after every
                          fifth submission
     --help               print this text
+
+REPLIES:
+    Replies come back in request order. Each is written as soon as it and
+    every earlier reply are ready, and the stream is flushed whenever no
+    further reply is pending, so a client may wait for a reply before
+    sending its next request.
 ";
 
 struct Cli {
@@ -181,17 +189,21 @@ fn generate_requests(cli: &Cli, n: usize) -> Result<(), String> {
 
 fn serve_stdio(server: &mut Server) -> io::Result<ServeOutcome> {
     let stdin = io::stdin();
-    let stdout = io::stdout();
     let mut reader = BufReader::new(stdin.lock());
-    let mut writer = BufWriter::new(stdout.lock());
+    // The reply mux writes from its own thread, so it takes the unlocked
+    // handle.
+    let mut writer = BufWriter::new(io::stdout());
     server.serve_connection(&mut reader, &mut writer)
 }
 
 fn serve_tcp(server: &mut Server, addr: &str) -> io::Result<()> {
     let listener = TcpListener::bind(addr)?;
-    eprintln!("dcn-serve: listening on {addr}");
+    eprintln!("dcn-serve: listening on {}", listener.local_addr()?);
     for stream in listener.incoming() {
         let stream = stream?;
+        // Replies are flushed as soon as they are ready; Nagle's algorithm
+        // would hold each small frame until the previous one is acked.
+        stream.set_nodelay(true)?;
         let mut reader = BufReader::new(stream.try_clone()?);
         let mut writer = BufWriter::new(stream);
         match server.serve_connection(&mut reader, &mut writer) {

@@ -9,7 +9,10 @@
 //! submission to its source pod's bucket. Replies flow back through a
 //! sequence-ordered mux, so the reply stream for a given request stream
 //! is byte-identical at any `--shard-workers` width; see
-//! [`server`] for the full determinism contract.
+//! [`server`] for the full determinism contract. The mux runs on its own
+//! thread per connection: it writes each reply in sequence order as soon
+//! as it is ready and flushes whenever no further reply is pending, so a
+//! client may wait for one reply before sending its next request.
 //!
 //! The pieces:
 //!

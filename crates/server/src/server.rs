@@ -27,6 +27,11 @@
 //! dispatches in arrival order, and the reply mux writes responses back
 //! in sequence order — so the reply stream is byte-identical at any
 //! worker width.
+//!
+//! On a connection the router reads and dispatches on the caller's
+//! thread while the reply mux runs on its own: it writes each reply as
+//! soon as every earlier one is out and flushes whenever no further
+//! reply is pending, so a client never waits on its own next request.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -218,7 +223,7 @@ enum Job {
         req_id: u64,
         bucket: usize,
         flow: Flow,
-        reply: Sender<(u64, Response)>,
+        reply: Sender<Reply>,
     },
     /// Answer a status query from the bucket owning the flow id.
     Query {
@@ -226,7 +231,7 @@ enum Job {
         req_id: u64,
         bucket: usize,
         flow: u64,
-        reply: Sender<(u64, Response)>,
+        reply: Sender<Reply>,
     },
     /// Dump the state of every bucket the worker owns. Rides the same
     /// FIFO queue as submissions, so it naturally serializes after all
@@ -243,6 +248,14 @@ enum Job {
     },
     /// Drain and exit.
     Stop,
+}
+
+/// A message to the reply mux.
+enum Reply {
+    /// The response to one sequence number.
+    Frame(u64, Response),
+    /// End of input: every sequence number below this one was dispatched.
+    End(u64),
 }
 
 /// What [`Server::serve_connection`] ran into at the end of a stream.
@@ -262,8 +275,8 @@ pub struct Server {
     bucket_count: usize,
     queues: Vec<SyncSender<Job>>,
     handles: Vec<JoinHandle<()>>,
-    reply_tx: Sender<(u64, Response)>,
-    reply_rx: Receiver<(u64, Response)>,
+    reply_tx: Sender<Reply>,
+    reply_rx: Receiver<Reply>,
     /// Next global sequence number (== requests dispatched so far).
     seq: u64,
     /// Next flow id (== flows ever enqueued, across restarts).
@@ -426,8 +439,7 @@ impl Server {
     /// snapshots, `Shutdown`), the immediate response; `None` means a
     /// worker will deliver the reply through the mux channel later.
     pub fn dispatch(&mut self, request: Request) -> (u64, Option<Response>) {
-        let seq = self.seq;
-        self.seq += 1;
+        let seq = self.stamp();
         let id = request.id;
         match request.body {
             RequestBody::SubmitFlow(submit) => {
@@ -627,6 +639,12 @@ impl Server {
         }
     }
 
+    /// Stamps the next global sequence number.
+    fn stamp(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq - 1
+    }
+
     fn busy(&self, id: u64) -> Response {
         Response::new(
             id,
@@ -694,8 +712,8 @@ impl Server {
         }
         loop {
             match self.reply_rx.recv() {
-                Ok((got, response)) if got == seq => return response,
-                Ok(_) => continue, // A stale reply from an abandoned loop.
+                Ok(Reply::Frame(got, response)) if got == seq => return response,
+                Ok(_) => continue, // A leftover of an aborted connection.
                 Err(_) => {
                     return Response::error(0, "internal", "shard worker is gone");
                 }
@@ -703,116 +721,79 @@ impl Server {
         }
     }
 
-    /// Serves one framed request stream: reads frames, routes them, and
-    /// writes replies back in sequence order. Malformed or oversized
-    /// frames get a typed error reply (when the stream is still
-    /// writable) and a clean disconnect; the daemon itself never panics
-    /// on bad input.
+    /// Serves one framed request stream: reads and routes frames on this
+    /// thread while a reply mux thread writes the replies in sequence
+    /// order, each as soon as it is ready, and flushes whenever no further
+    /// reply is pending. Malformed or oversized frames get a typed error
+    /// reply after all earlier ones (when the stream is still writable)
+    /// and a clean disconnect; the daemon never panics on bad input.
     ///
     /// # Errors
     ///
-    /// Propagates write-side I/O errors; read-side errors end the
-    /// stream with [`ServeOutcome::Eof`] instead.
+    /// Propagates write-side I/O errors (reading stops at the next frame);
+    /// read-side errors end the stream with [`ServeOutcome::Eof`] instead.
     pub fn serve_connection(
         &mut self,
         reader: &mut impl BufRead,
-        writer: &mut impl Write,
+        writer: &mut (impl Write + Send),
     ) -> io::Result<ServeOutcome> {
         use crate::protocol::{decode_request, read_frame, FrameError};
 
-        let mut pending: BTreeMap<u64, Response> = BTreeMap::new();
-        let mut next_write = self.seq;
+        // The mux borrows the receiver for the connection's lifetime while
+        // the router keeps `&mut self`; it is put back when the mux is done.
+        let (_, placeholder) = mpsc::channel();
+        let mut replies = std::mem::replace(&mut self.reply_rx, placeholder);
+        // A connection whose writer failed leaves its end marker behind.
+        while replies.try_recv().is_ok() {}
+        let first = self.seq;
         let mut outcome = ServeOutcome::Eof;
-        let mut error_reply: Option<Response> = None;
-        loop {
-            match read_frame(reader) {
-                Ok(Some(payload)) => {
-                    let (seq, immediate) = match decode_request(&payload) {
-                        Ok(request) => {
-                            let shutdown = matches!(request.body, RequestBody::Shutdown);
-                            let routed = self.dispatch(request);
-                            if shutdown {
-                                outcome = ServeOutcome::Shutdown;
-                            }
-                            routed
+        let written = std::thread::scope(|scope| {
+            let mux_replies = &mut replies;
+            let mux = scope.spawn(move || write_in_order(mux_replies, first, writer));
+            let _stop = StopMuxOnUnwind(self.reply_tx.clone());
+            let trailer = loop {
+                let payload = match read_frame(reader) {
+                    Ok(Some(payload)) => payload,
+                    Err(FrameError::Oversized(len)) => {
+                        break Some(Response::error(
+                            0,
+                            "frame-too-large",
+                            format!("frame of {len} bytes exceeds the limit"),
+                        ));
+                    }
+                    Err(FrameError::Malformed(msg)) => {
+                        break Some(Response::error(0, "bad-frame", msg));
+                    }
+                    // The peer closed, or vanished mid-frame; nothing left to answer.
+                    Ok(None) | Err(FrameError::Truncated | FrameError::Io(_)) => break None,
+                };
+                let (seq, immediate) = match decode_request(&payload) {
+                    Ok(request) => {
+                        if matches!(request.body, RequestBody::Shutdown) {
+                            outcome = ServeOutcome::Shutdown;
                         }
-                        Err(response) => {
-                            let seq = self.seq;
-                            self.seq += 1;
-                            (seq, Some(response))
-                        }
-                    };
-                    if let Some(response) = immediate {
-                        pending.insert(seq, response);
+                        self.dispatch(request)
                     }
-                    self.drain_replies(&mut pending, &mut next_write, writer, false)?;
-                    if outcome == ServeOutcome::Shutdown {
-                        break;
-                    }
+                    Err(response) => (self.stamp(), Some(response)),
+                };
+                if let Some(response) = immediate {
+                    let _ = self.reply_tx.send(Reply::Frame(seq, response));
                 }
-                Ok(None) => break,
-                Err(FrameError::Oversized(len)) => {
-                    error_reply = Some(Response::error(
-                        0,
-                        "frame-too-large",
-                        format!("frame of {len} bytes exceeds the limit"),
-                    ));
-                    break;
+                // The mux only finishes before the end marker when a write failed.
+                if outcome == ServeOutcome::Shutdown || mux.is_finished() {
+                    break None;
                 }
-                Err(FrameError::Malformed(msg)) => {
-                    error_reply = Some(Response::error(0, "bad-frame", msg));
-                    break;
-                }
-                // The peer vanished mid-frame; nothing left to answer.
-                Err(FrameError::Truncated) | Err(FrameError::Io(_)) => break,
+            };
+            if let Some(response) = trailer {
+                let seq = self.stamp();
+                let _ = self.reply_tx.send(Reply::Frame(seq, response));
             }
-        }
-        self.drain_replies(&mut pending, &mut next_write, writer, true)?;
-        if let Some(response) = error_reply {
-            write_frame(writer, &response)?;
-        }
-        writer.flush()?;
-        Ok(outcome)
-    }
-
-    /// Moves worker replies into the order buffer and writes out every
-    /// response that is next in sequence. With `block`, waits until all
-    /// outstanding sequence numbers have been written.
-    fn drain_replies(
-        &mut self,
-        pending: &mut BTreeMap<u64, Response>,
-        next_write: &mut u64,
-        writer: &mut impl Write,
-        block: bool,
-    ) -> io::Result<()> {
-        loop {
-            while let Ok((seq, response)) = self.reply_rx.try_recv() {
-                pending.insert(seq, response);
-            }
-            while let Some(response) = pending.remove(next_write) {
-                write_frame(writer, &response)?;
-                *next_write += 1;
-            }
-            if !block || *next_write >= self.seq {
-                return Ok(());
-            }
-            match self.reply_rx.recv() {
-                Ok((seq, response)) => {
-                    pending.insert(seq, response);
-                }
-                Err(_) => {
-                    // Workers are gone; answer what we can and stop.
-                    while *next_write < self.seq {
-                        let response = pending.remove(next_write).unwrap_or_else(|| {
-                            Response::error(0, "internal", "shard worker is gone")
-                        });
-                        write_frame(writer, &response)?;
-                        *next_write += 1;
-                    }
-                    return Ok(());
-                }
-            }
-        }
+            let _ = self.reply_tx.send(Reply::End(self.seq));
+            mux.join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        });
+        self.reply_rx = replies;
+        written.map(|()| outcome)
     }
 
     /// Stops and joins every worker thread.
@@ -835,6 +816,54 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.stop_workers();
     }
+}
+
+/// Ends the reply mux when the router unwinds, so the connection's thread
+/// scope can join it instead of waiting for replies that never come.
+struct StopMuxOnUnwind(Sender<Reply>);
+
+impl Drop for StopMuxOnUnwind {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let _ = self.0.send(Reply::End(0));
+        }
+    }
+}
+
+/// The reply mux: buffers replies that arrive out of order, writes each
+/// one as soon as it is next in sequence, and flushes whenever no further
+/// reply is waiting — so under load many frames share one flush, and an
+/// idle connection sees each reply at once. Returns after writing every
+/// sequence number below the router's end marker.
+fn write_in_order(
+    replies: &Receiver<Reply>,
+    mut next: u64,
+    writer: &mut impl Write,
+) -> io::Result<()> {
+    let mut pending: BTreeMap<u64, Response> = BTreeMap::new();
+    let mut end = u64::MAX;
+    while next < end {
+        let reply = match replies.try_recv() {
+            Ok(reply) => reply,
+            // Nothing else is ready: push out what is written. The channel
+            // cannot disconnect, since the server holds a sender.
+            Err(_) => {
+                writer.flush()?;
+                replies.recv().map_err(io::Error::other)?
+            }
+        };
+        match reply {
+            Reply::Frame(seq, response) => {
+                pending.insert(seq, response);
+            }
+            Reply::End(seq) => end = seq,
+        }
+        while let Some(response) = pending.remove(&next) {
+            write_frame(writer, &response)?;
+            next += 1;
+        }
+    }
+    writer.flush()
 }
 
 /// Verifies a snapshot was produced under this configuration.
@@ -888,7 +917,7 @@ fn run_worker(jobs: &Receiver<Job>, engines: &mut BTreeMap<usize, ShardEngine<'_
                     }
                     None => Response::error(req_id, "internal", "bucket routed to wrong worker"),
                 };
-                let _ = reply.send((seq, response));
+                let _ = reply.send(Reply::Frame(seq, response));
             }
             Job::Query {
                 seq,
@@ -912,7 +941,7 @@ fn run_worker(jobs: &Receiver<Job>, engines: &mut BTreeMap<usize, ShardEngine<'_
                     }
                     None => Response::error(req_id, "internal", "bucket routed to wrong worker"),
                 };
-                let _ = reply.send((seq, response));
+                let _ = reply.send(Reply::Frame(seq, response));
             }
             Job::Collect { reply } => {
                 let states = engines.values().map(ShardEngine::state).collect();

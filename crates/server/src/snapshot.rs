@@ -162,16 +162,32 @@ impl SnapshotFile {
             .count()
     }
 
-    /// Serializes and writes the snapshot.
+    /// Serializes and writes the snapshot atomically: the JSON goes to a
+    /// sibling temp file, which is synced and then renamed over `path`, so
+    /// a crash mid-write leaves the previous snapshot intact.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn save(&self, path: &FsPath) -> std::io::Result<()> {
+        use std::io::Write;
+
         let mut text = serde_json::to_string_pretty(self)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
         text.push('\n');
-        std::fs::write(path, text)
+        let mut temp = path.as_os_str().to_os_string();
+        temp.push(".tmp");
+        let mut file = std::fs::File::create(&temp)?;
+        file.write_all(text.as_bytes())?;
+        file.sync_all()?;
+        std::fs::rename(&temp, path)?;
+        // The rename itself is durable only once the directory is synced.
+        #[cfg(unix)]
+        {
+            let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+            std::fs::File::open(dir.unwrap_or(FsPath::new(".")))?.sync_all()?;
+        }
+        Ok(())
     }
 
     /// Reads and parses a snapshot file.

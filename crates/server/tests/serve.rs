@@ -1,16 +1,21 @@
 //! Behavioral pins of the daemon: reply streams are byte-identical at
 //! every `--shard-workers` width, a snapshot/restore cycle continues
 //! bit-identically to an uninterrupted run, full queues answer `Busy`
-//! with the configured retry hint, and incompatible snapshots are
-//! refused at startup.
+//! with the configured retry hint, incompatible or truncated snapshots
+//! are refused at startup, and over TCP each reply reaches a client
+//! that waits for it before sending more.
 
-use std::io::Cursor;
+use std::io::{self, BufReader, BufWriter, Cursor, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 use dcn_flow::workload::UniformWorkload;
 use dcn_server::{
-    encode_frame, read_frame, Request, RequestBody, Response, ResponseBody, ServePolicy, Server,
-    ServerConfig, SnapshotFile, SubmitFlow, TopologySpec,
+    encode_frame, read_frame, Request, RequestBody, Response, ResponseBody, ServeOutcome,
+    ServePolicy, Server, ServerConfig, ServerError, SnapshotFile, SubmitFlow, TopologySpec,
 };
 use dcn_topology::GraphCsr;
 
@@ -84,6 +89,95 @@ fn parse_replies(bytes: &[u8]) -> Vec<Response> {
         replies.push(serde_json::from_str(text).expect("valid Response"));
     }
     replies
+}
+
+/// The client end of one loopback TCP connection served by
+/// [`Server::serve_connection`] on a background thread.
+struct TcpClient {
+    stream: TcpStream,
+    reader: BufReader<TcpStream>,
+    server: JoinHandle<std::io::Result<ServeOutcome>>,
+}
+
+impl TcpClient {
+    /// Starts a server of `config` behind a fresh loopback port and
+    /// connects to it. Every read waits at most two seconds.
+    fn connect(config: ServerConfig) -> Self {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("loopback port");
+        let addr = listener.local_addr().expect("bound address");
+        let server = std::thread::spawn(move || {
+            let mut server = Server::start(config).expect("server starts");
+            let (stream, _) = listener.accept().expect("client connects");
+            let mut reader = BufReader::new(stream.try_clone().expect("socket clones"));
+            let mut writer = BufWriter::new(stream);
+            let outcome = server.serve_connection(&mut reader, &mut writer);
+            server.shutdown();
+            outcome
+        });
+        let stream = TcpStream::connect(addr).expect("connects to the server");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .expect("read timeout");
+        let reader = BufReader::new(stream.try_clone().expect("socket clones"));
+        Self {
+            stream,
+            reader,
+            server,
+        }
+    }
+
+    fn send(&mut self, requests: &[Request]) {
+        self.stream
+            .write_all(&to_stream(requests))
+            .expect("request frames are sent");
+    }
+
+    /// The next reply, or `None` at end of stream; panics when none
+    /// arrives within the read timeout.
+    fn recv(&mut self) -> Option<Response> {
+        let payload = read_frame(&mut self.reader).expect("a reply within the read timeout")?;
+        let text = std::str::from_utf8(&payload).expect("UTF-8 replies");
+        Some(serde_json::from_str(text).expect("valid Response"))
+    }
+
+    /// Waits for the server thread and returns how the connection ended.
+    fn finish(self) -> ServeOutcome {
+        self.server
+            .join()
+            .expect("server thread does not panic")
+            .expect("replies are written")
+    }
+}
+
+/// A writer whose peer is gone; it reports each failed write.
+struct BrokenPipe(Sender<()>);
+
+impl Write for BrokenPipe {
+    fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+        let _ = self.0.send(());
+        Err(io::ErrorKind::BrokenPipe.into())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A request stream that ends only after the writer failed, so the
+/// router's end marker reaches a mux that has already stopped.
+struct EndAfterFailure {
+    data: Cursor<Vec<u8>>,
+    failed: Receiver<()>,
+}
+
+impl Read for EndAfterFailure {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.data.read(buf)?;
+        if n == 0 {
+            let _ = self.failed.recv();
+        }
+        Ok(n)
+    }
 }
 
 fn temp_path(name: &str) -> PathBuf {
@@ -327,4 +421,138 @@ fn shutdown_request_gets_bye_and_ends_the_connection() {
     let last = replies.last().expect("bye reply");
     assert_eq!(last.id, 500);
     assert!(matches!(last.body, ResponseBody::Bye));
+}
+
+#[test]
+fn a_client_that_waits_for_each_reply_gets_it() {
+    let built = TopologySpec::FatTree { k: 4 }.build();
+    let mut client = TcpClient::connect(config());
+
+    client.send(&[Request::new(
+        0,
+        RequestBody::SubmitFlow(SubmitFlow {
+            src: built.hosts[0].0,
+            dst: built.hosts[5].0,
+            release: 1.0,
+            deadline: 10.0,
+            volume: 4.0,
+        }),
+    )]);
+    let admit = client.recv().expect("admit reply");
+    assert_eq!(admit.id, 0);
+    assert!(matches!(&admit.body, ResponseBody::Admit(a) if a.admitted));
+
+    client.send(&[Request::new(1, RequestBody::QueryFlow { flow: 0 })]);
+    let status = client.recv().expect("status reply");
+    assert_eq!(status.id, 1);
+    assert!(matches!(&status.body, ResponseBody::Status(s) if s.state == "in-flight"));
+
+    client.send(&[Request::new(2, RequestBody::Shutdown)]);
+    let bye = client.recv().expect("bye reply");
+    assert_eq!(bye.id, 2);
+    assert!(matches!(bye.body, ResponseBody::Bye));
+    assert!(client.recv().is_none(), "the stream ends after Bye");
+    assert_eq!(client.finish(), ServeOutcome::Shutdown);
+}
+
+#[test]
+fn busy_replies_keep_request_order_under_a_pipelined_burst() {
+    // One worker, queue depth 1, solver-priced policy: the burst outruns
+    // the worker, so `Busy` replies from the router interleave with the
+    // worker's admits on the same ordered stream.
+    let mut cfg = config();
+    cfg.policy = ServePolicy::Resolve;
+    cfg.queue_depth = 1;
+    let mut requests = canned_requests(30, 23);
+    requests.push(Request::new(requests.len() as u64, RequestBody::Shutdown));
+    let mut client = TcpClient::connect(cfg);
+    client.send(&requests);
+    let mut replies = Vec::new();
+    while let Some(reply) = client.recv() {
+        replies.push(reply);
+    }
+    assert_eq!(client.finish(), ServeOutcome::Shutdown);
+
+    let ids: Vec<u64> = replies.iter().map(|r| r.id).collect();
+    let expected: Vec<u64> = (0..requests.len() as u64).collect();
+    assert_eq!(ids, expected, "one reply per request, in request order");
+    let busy = replies
+        .iter()
+        .filter(|r| matches!(r.body, ResponseBody::Busy { .. }))
+        .count();
+    assert!(busy > 0, "queue depth 1 under a burst never overflowed");
+    assert!(
+        replies[..replies.len() - 1].iter().all(|r| matches!(
+            r.body,
+            ResponseBody::Busy { .. } | ResponseBody::Admit(_) | ResponseBody::Status(_)
+        )),
+        "unexpected reply under backpressure: {replies:?}"
+    );
+    assert!(matches!(replies[replies.len() - 1].body, ResponseBody::Bye));
+}
+
+#[test]
+fn truncated_snapshots_restore_identically_or_fail_typed() {
+    let snapshot_path = temp_path("truncate");
+    let mut cfg = config();
+    cfg.snapshot_path = Some(snapshot_path.clone());
+    let mut server = Server::start(cfg.clone()).expect("server starts");
+    for request in canned_requests(4, 9) {
+        server.request(request);
+    }
+    let done = server.request(Request::new(9_000, RequestBody::Snapshot));
+    assert!(matches!(done.body, ResponseBody::SnapshotDone { .. }));
+    server.shutdown();
+    assert!(
+        !PathBuf::from(format!("{}.tmp", snapshot_path.display())).exists(),
+        "the temp file is renamed over the snapshot"
+    );
+
+    let bytes = std::fs::read(&snapshot_path).expect("snapshot written");
+    let original = SnapshotFile::load(&snapshot_path).expect("snapshot loads");
+    let pretty = |file: &SnapshotFile| serde_json::to_string_pretty(file).expect("serializes");
+    for len in 0..=bytes.len() {
+        std::fs::write(&snapshot_path, &bytes[..len]).expect("truncated copy written");
+        match SnapshotFile::load(&snapshot_path) {
+            Ok(loaded) => {
+                assert_eq!(pretty(&loaded), pretty(&original), "prefix of {len} bytes");
+                Server::start(cfg.clone())
+                    .expect("a complete snapshot restores")
+                    .shutdown();
+            }
+            Err(_) => assert!(
+                matches!(Server::start(cfg.clone()), Err(ServerError::Config(_))),
+                "prefix of {len} bytes must be refused with a typed error"
+            ),
+        }
+    }
+    let _ = std::fs::remove_file(&snapshot_path);
+}
+
+#[test]
+fn a_failed_connection_leaves_the_next_one_intact() {
+    let requests = canned_requests(10, 4);
+    let stream = to_stream(&requests);
+    let mut server = Server::start(config()).expect("server starts");
+    let (failed_tx, failed_rx) = mpsc::channel();
+    let mut reader = BufReader::new(EndAfterFailure {
+        data: Cursor::new(stream.clone()),
+        failed: failed_rx,
+    });
+    let failed = server.serve_connection(&mut reader, &mut BrokenPipe(failed_tx));
+    assert_eq!(
+        failed.expect_err("the write error surfaces").kind(),
+        io::ErrorKind::BrokenPipe
+    );
+    let mut replies = Vec::new();
+    server
+        .serve_connection(&mut Cursor::new(stream), &mut replies)
+        .expect("in-memory write cannot fail");
+    server.shutdown();
+    let ids: Vec<u64> = parse_replies(&replies).iter().map(|r| r.id).collect();
+    let expected: Vec<u64> = requests.iter().map(|r| r.id).collect();
+    assert_eq!(
+        ids, expected,
+        "every request of the second connection is answered"
+    );
 }
